@@ -31,6 +31,13 @@ class ObjState(enum.IntEnum):
     INVALID = 3
 
 
+# Bound once: on Python 3.10/3.11 ``EnumType.__getattr__`` sends every
+# ``ObjState.X`` read through a slow attribute hook.  The access checks,
+# acquire/release and the protocol handlers test these; keep them.
+LOCAL, HOME, VALID, INVALID = (
+    ObjState.LOCAL, ObjState.HOME, ObjState.VALID, ObjState.INVALID)
+
+
 class DSMHeader:
     """DSM bookkeeping attached to every heap object in rewritten code."""
 
@@ -40,7 +47,7 @@ class DSMHeader:
     )
 
     def __init__(self, class_name: str) -> None:
-        self.state = ObjState.LOCAL
+        self.state = LOCAL
         self.gid = 0                     # 0 = no global id yet (local)
         self.version = 0                 # scalar timestamp of this replica
         self.twin: Any = None            # pre-write copy (multiple-writer)
@@ -54,15 +61,7 @@ class DSMHeader:
 
     @property
     def is_local(self) -> bool:
-        return self.state == ObjState.LOCAL
-
-    @property
-    def is_shared(self) -> bool:
-        return self.state != ObjState.LOCAL
-
-    @property
-    def readable(self) -> bool:
-        return self.state in (ObjState.LOCAL, ObjState.HOME, ObjState.VALID)
+        return self.state == LOCAL
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -58,7 +58,8 @@ from .diffs import (
 )
 from .directory import ClassIdRegistry, GidAllocator, HomeDirectory, home_of
 from .locks import LockRequest, LockToken, NodeLockState
-from .objectstate import DSMHeader, ObjState, attach_header
+from .objectstate import (HOME, INVALID, LOCAL, VALID, DSMHeader, ObjState,
+                          attach_header)
 from .serialization import ClassSpec, deserialize_any, serialize_any
 from .write_notices import MODE_BOUNDED, Notice, NoticeTable
 
@@ -306,7 +307,7 @@ class DsmEngine:
         obj = Obj(rtc)
         hdr = attach_header(obj)
         hdr.gid = gid
-        hdr.state = ObjState.HOME
+        hdr.state = HOME
         hdr.version = 1
         self.cache[gid] = obj
         self.lock_owner[gid] = self.node_id
@@ -361,7 +362,7 @@ class DsmEngine:
             obj = Obj(self.jvm.lookup(class_name))
         hdr = attach_header(obj)
         hdr.gid = gid
-        hdr.state = ObjState.INVALID
+        hdr.state = INVALID
         hdr.version = 0
         self.cache[gid] = obj
         return obj
@@ -376,7 +377,7 @@ class DsmEngine:
             return hdr.gid
         gid = self.gids.allocate()
         hdr.gid = gid
-        hdr.state = ObjState.HOME
+        hdr.state = HOME
         hdr.version = 1
         self.cache[gid] = ref
         region_elems = self.config.array_region_elems
@@ -388,7 +389,7 @@ class DsmEngine:
             n = (len(ref.data) + region_elems - 1) // region_elems
             self._regions[gid] = RegionInfo(
                 elems=region_elems,
-                states=[ObjState.HOME] * n,
+                states=[HOME] * n,
                 versions=[1] * n,
             )
         self.lock_owner[gid] = self.node_id
@@ -450,7 +451,7 @@ class DsmEngine:
             return True, 0
         if hdr.gid and hdr.gid in self._regions:
             return self._region_read_check(thread, ref, hdr, index)
-        if hdr.state != ObjState.INVALID:
+        if hdr.state != INVALID:
             return True, 0
         self._start_fetch(thread, hdr)
         return False, self.cost_model[cm.PROTO_HANDLER_NS]
@@ -466,7 +467,7 @@ class DsmEngine:
             region = reg.region_of(index)
             if not 0 <= region < reg.n_regions:
                 return True, 0  # out of bounds: let the access raise
-            if reg.states[region] != ObjState.INVALID:
+            if reg.states[region] != INVALID:
                 return True, 0
         self._start_fetch(thread, hdr, region)
         return False, self.cost_model[cm.PROTO_HANDLER_NS]
@@ -478,14 +479,14 @@ class DsmEngine:
             attach_header(ref)
             return True, 0
         state = hdr.state
-        if state == ObjState.LOCAL:
+        if state == LOCAL:
             return True, 0
         if hdr.gid and hdr.gid in self._regions:
             return self._region_write_check(thread, ref, hdr, index)
-        if state == ObjState.INVALID:
+        if state == INVALID:
             self._start_fetch(thread, hdr)
             return False, self.cost_model[cm.PROTO_HANDLER_NS]
-        if state == ObjState.HOME:
+        if state == HOME:
             self._dirty_home.add(hdr.gid)
             return True, 0
         # VALID cached copy: twin before first write (multiple-writer).
@@ -502,10 +503,10 @@ class DsmEngine:
         if not 0 <= region < reg.n_regions:
             return True, 0  # out of bounds: let the access raise
         state = reg.states[region]
-        if state == ObjState.HOME:
+        if state == HOME:
             self._dirty_home.add((hdr.gid, region))
             return True, 0
-        if state == ObjState.INVALID:
+        if state == INVALID:
             self._start_fetch(thread, hdr, region)
             return False, self.cost_model[cm.PROTO_HANDLER_NS]
         if region not in reg.twins:
@@ -550,7 +551,7 @@ class DsmEngine:
     def acquire(self, thread: JThread, ref: Any) -> Tuple[bool, int]:
         """Hook behind DSM_ACQUIRE: counter fast path, local grant, queueing, or a lock request to the home node."""
         hdr: DSMHeader = ref.header
-        if hdr.is_local:
+        if hdr.state == LOCAL:
             if self.config.local_lock_opt:
                 # §4.4 fast path: a counter, cheaper than original Java.
                 if hdr.lock_owner is None or hdr.lock_owner is thread:
@@ -611,7 +612,7 @@ class DsmEngine:
     def release(self, thread: JThread, ref: Any) -> int:
         """Hook behind DSM_RELEASE: end the interval (flush diffs) and hand the token to the next requester."""
         hdr: DSMHeader = ref.header
-        if hdr.is_local:
+        if hdr.state == LOCAL:
             if hdr.lock_owner is not thread or hdr.lock_count <= 0:
                 raise ProtocolError("release of unheld local lock")
             hdr.lock_count -= 1
@@ -728,7 +729,7 @@ class DsmEngine:
             idx = self.jvm.field_index("javasplit.Thread", "started")
         except Exception:  # pragma: no cover - Thread class always linked
             return
-        if hdr.state != ObjState.INVALID and tobj.fields[idx]:
+        if hdr.state != INVALID and tobj.fields[idx]:
             raise JavaRuntimeError("thread already started")
         ok, _ = self.write_check(thread, tobj, 1)
         if ok:
@@ -1160,7 +1161,7 @@ class DsmEngine:
                 n = (total_len + elems - 1) // elems
                 reg = RegionInfo(
                     elems=elems,
-                    states=[ObjState.INVALID] * n,
+                    states=[INVALID] * n,
                     versions=[0] * n,
                     length_known=True,
                 )
@@ -1170,16 +1171,16 @@ class DsmEngine:
                 obj.data = [default_value(obj.elem_type)] * total_len
             lo, _hi = reg.bounds(region, total_len)
             deserialize_region(obj, lo, p["data"], self)
-            reg.states[region] = ObjState.VALID
+            reg.states[region] = VALID
             reg.versions[region] = p["version"]
             reg.twins.pop(region, None)
             reg.length_known = True
-            hdr.state = ObjState.VALID  # "present"; regions carry the truth
+            hdr.state = VALID  # "present"; regions carry the truth
             key: Any = (gid, region)
         else:
             deserialize_any(obj, self.specs.get(self._spec_key(obj)), p["data"], self)
             hdr.version = p["version"]
-            hdr.state = ObjState.VALID
+            hdr.state = VALID
             hdr.twin = None
             key = gid
         if self.config.timestamp_mode == VECTOR:
@@ -1202,7 +1203,7 @@ class DsmEngine:
             if obj is None or gid in self._regions:
                 continue
             hdr = obj.header
-            if hdr is None or hdr.state != ObjState.HOME:
+            if hdr is None or hdr.state != HOME:
                 continue
             if self.ft is not None:
                 self.ft.on_serve(gid, None)
@@ -1232,7 +1233,7 @@ class DsmEngine:
         if obj is None:
             return None
         hdr: DSMHeader = obj.header
-        if hdr is None or hdr.state != ObjState.HOME:
+        if hdr is None or hdr.state != HOME:
             return None
         if gid in self._dirty_home:
             self._dirty_home.discard(gid)
@@ -1243,7 +1244,7 @@ class DsmEngine:
         unit = self.ft_serialize_unit(gid)
         if unit is None:  # pragma: no cover - defensive
             return None
-        hdr.state = ObjState.INVALID
+        hdr.state = INVALID
         hdr.twin = None
         return unit
 
@@ -1270,7 +1271,7 @@ class DsmEngine:
             hdr: DSMHeader = obj.header
             if region is not None:
                 reg = self._regions.get(gid)
-                if reg is None or reg.states[region] != ObjState.VALID:
+                if reg is None or reg.states[region] != VALID:
                     continue
                 if self.config.timestamp_mode == VECTOR:
                     seen = self._replica_vc.get(key, {})
@@ -1279,7 +1280,7 @@ class DsmEngine:
                 elif reg.versions[region] >= notice.version:
                     continue
             else:
-                if hdr.state != ObjState.VALID:
+                if hdr.state != VALID:
                     continue
                 if self.config.timestamp_mode == VECTOR:
                     seen = self._replica_vc.get(key, {})
@@ -1300,11 +1301,11 @@ class DsmEngine:
             if isinstance(key, tuple):
                 gid, region = key
                 reg = self._regions[gid]
-                reg.states[region] = ObjState.INVALID
+                reg.states[region] = INVALID
                 reg.twins.pop(region, None)
             else:
                 hdr = self.cache[key].header
-                hdr.state = ObjState.INVALID
+                hdr.state = INVALID
                 hdr.twin = None
             self.stats.invalidations += 1
 
@@ -1603,7 +1604,7 @@ class DsmEngine:
             reg = self._regions.get(gid)
             if reg is not None:
                 keys.extend((gid, r) for r in range(reg.n_regions))
-            elif hdr.state == ObjState.HOME:
+            elif hdr.state == HOME:
                 keys.append(gid)
         return keys
 
@@ -1623,7 +1624,7 @@ class DsmEngine:
                 obj = Obj(self.jvm.lookup(class_name))
             hdr = attach_header(obj)
             hdr.gid = gid
-            hdr.state = ObjState.INVALID
+            hdr.state = INVALID
             hdr.version = 0
             self.cache[gid] = obj
         hdr = obj.header
@@ -1635,7 +1636,7 @@ class DsmEngine:
                 n = (total_len + elems - 1) // elems
                 reg = RegionInfo(
                     elems=elems,
-                    states=[ObjState.INVALID] * n,
+                    states=[INVALID] * n,
                     versions=[0] * n,
                     length_known=True,
                 )
@@ -1650,10 +1651,10 @@ class DsmEngine:
                 local_diff = compute_region_diff(obj, lo, twin, self)
                 self._dirty.discard((gid, region))
             deserialize_region(obj, lo, unit["data"], self)
-            reg.states[region] = ObjState.HOME
+            reg.states[region] = HOME
             reg.versions[region] = max(reg.versions[region],
                                        unit["version"])
-            hdr.state = ObjState.HOME
+            hdr.state = HOME
             if local_diff is not None:
                 apply_region_diff(obj, lo, local_diff, self)
                 self._dirty_home.add((gid, region))
@@ -1667,7 +1668,7 @@ class DsmEngine:
                 self._dirty.discard(gid)
             deserialize_any(obj, spec, unit["data"], self)
             hdr.version = max(hdr.version, unit["version"])
-            hdr.state = ObjState.HOME
+            hdr.state = HOME
             if local_diff is not None:
                 apply_diff(obj, spec, local_diff, self)
                 self._dirty_home.add(gid)

@@ -9,7 +9,8 @@ protocol traffic, simulated time, exceptions) is bit-identical to
 tier 0 — see ``tests/test_jit.py`` for the differential proof.
 """
 
-from .analysis import CompileError, analyze, build_cost_tables, pre_summed_runs
+from ..jvm.bytecode import build_cost_tables
+from .analysis import CompileError, analyze, pre_summed_runs
 from .codegen import (
     N_REASONS,
     R_BLOCK_ACQUIRE,

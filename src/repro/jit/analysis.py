@@ -26,17 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..sim import cost_model as cm
 from ..jvm.bytecode import (
     BRANCHES,
     CONDITIONS,
-    HEAP_ACCESS_COST,
-    OP_COST,
     TERMINATORS,
     Instr,
     Op,
 )
 from ..jvm.classfile import MethodInfo
+from ..jvm.verifier import INVOKES, STACK_DELTA
 
 # Ops a compiled run executes inline with no possibility of blocking and
 # no runtime hook other than the race observer (which adds no cost).
@@ -62,28 +60,6 @@ SPECIAL_OPS = frozenset({
     Op.INVOKEVIRTUAL, Op.INVOKESTATIC, Op.INVOKESPECIAL,
 })
 
-_INVOKES = (Op.INVOKEVIRTUAL, Op.INVOKESTATIC, Op.INVOKESPECIAL)
-
-# Mirror of the verifier's stack-effect tables (see jvm/verifier.py);
-# invokes are handled separately via the resolved method's arity.
-_SIMPLE_DELTA = {
-    Op.CONST: 1, Op.LOAD: 1, Op.STORE: -1, Op.IINC: 0,
-    Op.ADD: -1, Op.SUB: -1, Op.MUL: -1, Op.DIV: -1, Op.REM: -1,
-    Op.NEG: 0, Op.SHL: -1, Op.SHR: -1, Op.USHR: -1,
-    Op.AND: -1, Op.OR: -1, Op.XOR: -1, Op.CMP: -1,
-    Op.I2D: 0, Op.D2I: 0, Op.CONCAT: -1,
-    Op.POP: -1, Op.DUP: 1, Op.DUP_X1: 1, Op.SWAP: 0,
-    Op.GOTO: 0, Op.IF: -1, Op.IF_CMP: -2,
-    Op.NEW: 1, Op.GETFIELD: 0, Op.PUTFIELD: -2,
-    Op.GETSTATIC: 1, Op.PUTSTATIC: -1,
-    Op.INSTANCEOF: 0, Op.CHECKCAST: 0,
-    Op.RETURN: 0, Op.RETVAL: -1,
-    Op.NEWARRAY: 0, Op.ARRLOAD: -1, Op.ARRSTORE: -3, Op.ARRAYLENGTH: 0,
-    Op.MONITORENTER: -1, Op.MONITOREXIT: -1,
-    Op.DSM_READCHECK: 0, Op.DSM_WRITECHECK: 0,
-    Op.DSM_ACQUIRE: -1, Op.DSM_RELEASE: -1, Op.DSM_STATICREF: 1,
-}
-
 
 class CompileError(Exception):
     """This method cannot be compiled; it stays on the interpreter."""
@@ -93,40 +69,14 @@ def instr_cost(instr: Instr, cost_plain: List[int], cost_checked: List[int],
                cost_static: List[int]) -> int:
     """Base simulated cost of one instruction, brand-resolved.
 
-    Must match ``Interpreter._base_cost`` exactly — the JIT's entire
-    bit-identical-sim-time guarantee rests on this function.
+    Must select the table exactly as ``Interpreter._execute`` does —
+    the JIT's entire bit-identical-sim-time guarantee rests on this
+    function.
     """
     if instr.checked:
         table = cost_static if instr.checked == "static" else cost_checked
         return table[instr.op]
     return cost_plain[instr.op]
-
-
-def build_cost_tables(cost_model: Dict[str, int]) -> Tuple[List[int], ...]:
-    """Brand-resolved per-opcode cost tables (plain, checked, static).
-
-    The same resolution ``Interpreter.__init__`` performs; duplicated
-    here so ``disasm`` can annotate costs without building a JVM.
-    """
-    n_ops = max(int(op) for op in Op) + 1
-    plain = [0] * n_ops
-    checked = [0] * n_ops
-    static = [0] * n_ops
-    for op in Op:
-        heap_key = HEAP_ACCESS_COST.get(op)
-        if heap_key is not None:
-            plain[op] = cost_model[heap_key]
-            checked[op] = cost_model[cm.checked(heap_key)]
-            static[op] = checked[op]
-        else:
-            key = OP_COST[op]
-            cost = cost_model[key] if key is not None else 0
-            plain[op] = cost
-            checked[op] = cost
-            static[op] = cost
-    static[Op.GETFIELD] = cost_model[cm.checked(cm.STATIC_READ)]
-    static[Op.PUTFIELD] = cost_model[cm.checked(cm.STATIC_WRITE)]
-    return plain, checked, static
 
 
 @dataclass
@@ -211,7 +161,7 @@ def analyze(method: MethodInfo, jvm) -> MethodAnalysis:
             ana.used_locals.add(instr.a)
             ana.mutated_locals.add(instr.a)
 
-        if op in _INVOKES:
+        if op in INVOKES:
             # Resolve through the runtime resolver — the same walk the
             # interpreter caches — so arity and nativeness match what
             # will execute.  Unresolvable == deopt site: the forced
@@ -234,8 +184,8 @@ def analyze(method: MethodInfo, jvm) -> MethodAnalysis:
                     f"{method.klass}.{method.name} pc={pc}: underflow")
             new_depth = depth - pops + pushes
         else:
-            new_depth = depth + _SIMPLE_DELTA[op]
-            if new_depth < 0 or depth + min(0, _SIMPLE_DELTA[op]) < 0:
+            new_depth = depth + STACK_DELTA[op]
+            if new_depth < 0 or depth + min(0, STACK_DELTA[op]) < 0:
                 raise CompileError(
                     f"{method.klass}.{method.name} pc={pc}: underflow")
 

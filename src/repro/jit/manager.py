@@ -18,7 +18,7 @@ function (:mod:`repro.jit.codegen`).  Promotion is by invocation count
   reason;
 * pc elsewhere (interpreter tails end quanta at arbitrary pcs), method
   not compiled, or blacklisted → one interpreter step;
-* ``R_BUDGET`` → finish the quantum with the interpreter so the
+* ``R_BUDGET`` → finish the quantum with ``Interpreter.run`` so the
   overshoot boundary is bit-identical to tier 0;
 * ``R_DEOPT``/``R_CALL`` → one interpreter step executes the pc the
   compiled code could not (budget permitting — otherwise the next
@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
-from ..sim.node import StreamState
+from ..sim.node import RUNNABLE
 from .codegen import (
     N_REASONS,
     R_BUDGET,
@@ -44,8 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..jvm.classfile import MethodInfo
     from ..runtime.javasplit import JavaSplitRuntime
     from ..runtime.worker import WorkerNode
-
-_RUNNABLE = StreamState.RUNNABLE
 
 
 class JitAgent:
@@ -130,7 +128,7 @@ class JitAgent:
         frames = thread.frames
         if frames:
             self.note_quantum(frames[-1].method)
-        while consumed < budget_ns and thread.state is _RUNNABLE:
+        while consumed < budget_ns and thread.state is RUNNABLE:
             frame = frames[-1]
             fn = cache.get(id(frame.method))
             if fn is None or fn is False or frame.pc not in fn.entries:
@@ -148,14 +146,14 @@ class JitAgent:
                      frame.pc, REASON_NAMES[reason]))
             if reason == R_BUDGET:
                 # Interpreter tail: reproduce tier 0's exact overshoot.
-                while consumed < budget_ns and thread.state is _RUNNABLE:
-                    consumed += interp.step(thread)
-                    self.interp_steps += 1
+                before = thread.instructions
+                consumed += interp.run(thread, budget_ns - consumed)
+                self.interp_steps += thread.instructions - before
                 break
             if reason == R_DEOPT or reason == R_CALL:
                 # The interpreter must execute this pc (deopt site, or
                 # an invoke whose callee is not compiled).
-                if consumed < budget_ns and thread.state is _RUNNABLE:
+                if consumed < budget_ns and thread.state is RUNNABLE:
                     consumed += interp.step(thread)
                     self.interp_steps += 1
         return consumed, thread.state
@@ -174,7 +172,7 @@ class JitAgent:
         clock = time.monotonic_ns
         if frames:
             self.note_quantum(frames[-1].method)
-        while consumed < budget_ns and thread.state is _RUNNABLE:
+        while consumed < budget_ns and thread.state is RUNNABLE:
             frame = frames[-1]
             fn = cache.get(id(frame.method))
             if fn is None or fn is False or frame.pc not in fn.entries:
@@ -196,13 +194,13 @@ class JitAgent:
                      frame.pc, REASON_NAMES[reason]))
             if reason == R_BUDGET:
                 t0 = clock()
-                while consumed < budget_ns and thread.state is _RUNNABLE:
-                    consumed += interp.step(thread)
-                    self.interp_steps += 1
+                before = thread.instructions
+                consumed += interp.run(thread, budget_ns - consumed)
+                self.interp_steps += thread.instructions - before
                 interp_wall += clock() - t0
                 break
             if reason == R_DEOPT or reason == R_CALL:
-                if consumed < budget_ns and thread.state is _RUNNABLE:
+                if consumed < budget_ns and thread.state is RUNNABLE:
                     t0 = clock()
                     consumed += interp.step(thread)
                     interp_wall += clock() - t0

@@ -25,7 +25,7 @@ Design notes
 from __future__ import annotations
 
 import enum
-from typing import Any, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim import cost_model as cm
 
@@ -216,3 +216,29 @@ DSM_OPS = frozenset({
 # verifier's fall-off-the-end check).
 TERMINATORS = frozenset({Op.GOTO, Op.RETURN, Op.RETVAL})
 BRANCHES = frozenset({Op.GOTO, Op.IF, Op.IF_CMP})
+
+
+def build_cost_tables(cost_model: Dict[str, int]) -> Tuple[List[int], ...]:
+    """Brand-resolved per-opcode cost tables (plain, checked, static),
+    shared by the interpreter, the JIT and ``disasm``.  Rewritten static
+    accesses are GETFIELD/PUTFIELD on the C_static holder (§4.2); they
+    bill the static rows of Table 1."""
+    n_ops = max(int(op) for op in Op) + 1
+    plain = [0] * n_ops
+    checked = [0] * n_ops
+    static = [0] * n_ops
+    for op in Op:
+        heap_key = HEAP_ACCESS_COST.get(op)
+        if heap_key is not None:
+            plain[op] = cost_model[heap_key]
+            checked[op] = cost_model[cm.checked(heap_key)]
+            static[op] = checked[op]
+        else:
+            key = OP_COST[op]
+            cost = cost_model[key] if key is not None else 0
+            plain[op] = cost
+            checked[op] = cost
+            static[op] = cost
+    static[Op.GETFIELD] = cost_model[cm.checked(cm.STATIC_READ)]
+    static[Op.PUTFIELD] = cost_model[cm.checked(cm.STATIC_WRITE)]
+    return plain, checked, static

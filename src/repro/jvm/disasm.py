@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-from .bytecode import BRANCHES, Instr, Op
+from .bytecode import BRANCHES, Instr, Op, build_cost_tables
 from .classfile import ClassFile, MethodInfo
 
 CostTables = Tuple[List[int], List[int], List[int]]
@@ -24,7 +24,6 @@ CostTables = Tuple[List[int], List[int], List[int]]
 
 def resolve_cost_tables(brand: str, profile: str = "micro") -> CostTables:
     """(plain, checked, static) per-opcode tables for a JVM brand."""
-    from ..jit.analysis import build_cost_tables
     from ..sim.cost_model import get_brand
     return build_cost_tables(get_brand(brand, profile))
 

@@ -24,18 +24,6 @@ class Frame:
         self.stack: List[Any] = []
         self.pc: int = 0
 
-    def push(self, value: Any) -> None:
-        """Push onto the operand stack."""
-        self.stack.append(value)
-
-    def pop(self) -> Any:
-        """Pop the operand stack."""
-        return self.stack.pop()
-
-    def peek(self, depth: int = 0) -> Any:
-        """Read the stack at a depth without popping."""
-        return self.stack[-1 - depth]
-
     def where(self) -> str:
         """Human-readable position, for error messages."""
         m = self.method

@@ -1,8 +1,10 @@
 """The bytecode interpreter.
 
-One :class:`Interpreter` per JVM instance.  It is *steppable*: ``step``
-executes exactly one instruction of a thread's top frame and returns its
-simulated cost in nanoseconds, so the node scheduler can timeshare
+One :class:`Interpreter` per JVM instance.  ``run`` interprets a thread
+until a simulated-time budget is spent or the thread stops being
+runnable (the node scheduler's quantum); ``step`` executes exactly one
+instruction of a thread's top frame (the JIT's single-step entry).  Both
+return simulated nanoseconds, so the node scheduler can timeshare
 threads over simulated CPUs and the DSM can block threads mid-access.
 
 Blocking discipline (see DESIGN.md):
@@ -24,7 +26,8 @@ import math
 from typing import Any, Optional
 
 from ..sim import cost_model as cm
-from .bytecode import HEAP_ACCESS_COST, OP_COST, Instr, Op
+from ..sim.node import RUNNABLE
+from .bytecode import Instr, Op, build_cost_tables
 from .classfile import CONSTRUCTOR, MethodInfo
 from .errors import (
     ArithmeticJavaError,
@@ -35,6 +38,31 @@ from .errors import (
 )
 from .frame import Frame
 from .heap import ArrayObj, Obj, monitor_of
+
+# Opcode aliases bound once at import.  On Python 3.10/3.11
+# ``EnumType.__getattr__`` sends every ``Op.X`` read through a slow
+# attribute hook (several times a module-global read), and the dispatch
+# chain pays several per bytecode.  Keep the aliases.
+_CONST, _LOAD, _STORE, _IINC = Op.CONST, Op.LOAD, Op.STORE, Op.IINC
+_ADD, _SUB, _MUL, _DIV, _REM = Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.REM
+_NEG, _SHL, _SHR, _USHR = Op.NEG, Op.SHL, Op.SHR, Op.USHR
+_AND, _OR, _XOR, _CMP = Op.AND, Op.OR, Op.XOR, Op.CMP
+_I2D, _D2I, _CONCAT = Op.I2D, Op.D2I, Op.CONCAT
+_POP, _DUP, _DUP_X1, _SWAP = Op.POP, Op.DUP, Op.DUP_X1, Op.SWAP
+_GOTO, _IF, _IF_CMP = Op.GOTO, Op.IF, Op.IF_CMP
+_NEW, _GETFIELD, _PUTFIELD = Op.NEW, Op.GETFIELD, Op.PUTFIELD
+_GETSTATIC, _PUTSTATIC = Op.GETSTATIC, Op.PUTSTATIC
+_INSTANCEOF, _CHECKCAST = Op.INSTANCEOF, Op.CHECKCAST
+_INVOKEVIRTUAL, _INVOKESTATIC = Op.INVOKEVIRTUAL, Op.INVOKESTATIC
+_INVOKESPECIAL, _RETURN, _RETVAL = Op.INVOKESPECIAL, Op.RETURN, Op.RETVAL
+_NEWARRAY, _ARRLOAD, _ARRSTORE = Op.NEWARRAY, Op.ARRLOAD, Op.ARRSTORE
+_ARRAYLENGTH = Op.ARRAYLENGTH
+_MONITORENTER, _MONITOREXIT = Op.MONITORENTER, Op.MONITOREXIT
+_DSM_READCHECK, _DSM_WRITECHECK = Op.DSM_READCHECK, Op.DSM_WRITECHECK
+_DSM_ACQUIRE, _DSM_RELEASE = Op.DSM_ACQUIRE, Op.DSM_RELEASE
+_DSM_STATICREF = Op.DSM_STATICREF
+
+_NO_HOOKS = "DSM instruction executed without DSM hooks installed"
 
 # Sentinel returned by native methods that produce no value (void).
 NO_VALUE = object()
@@ -98,29 +126,37 @@ class Interpreter:
         self.jvm = jvm
         self.cost_model = jvm.cost_model
         # Per-opcode cost tables, resolved once per JVM brand (a real
-        # JIT would constant-fold these; we index two flat lists).
-        n_ops = max(int(op) for op in Op) + 1
-        self._cost_plain = [0] * n_ops
-        self._cost_checked = [0] * n_ops
-        self._cost_static = [0] * n_ops
-        for op in Op:
-            heap_key = HEAP_ACCESS_COST.get(op)
-            if heap_key is not None:
-                self._cost_plain[op] = self.cost_model[heap_key]
-                self._cost_checked[op] = self.cost_model[cm.checked(heap_key)]
-                self._cost_static[op] = self._cost_checked[op]
-            else:
-                key = OP_COST[op]
-                cost = self.cost_model[key] if key is not None else 0
-                self._cost_plain[op] = cost
-                self._cost_checked[op] = cost
-                self._cost_static[op] = cost
-        # Rewritten static accesses are GETFIELD/PUTFIELD on the C_static
-        # holder (§4.2); they bill the static rows of Table 1.
-        self._cost_static[Op.GETFIELD] = self.cost_model[cm.checked(cm.STATIC_READ)]
-        self._cost_static[Op.PUTFIELD] = self.cost_model[cm.checked(cm.STATIC_WRITE)]
+        # JIT would constant-fold these; we index flat lists).
+        self._cost_plain, self._cost_checked, self._cost_static = (
+            build_cost_tables(self.cost_model))
 
     # ------------------------------------------------------------------
+    def run(self, thread: "JThread", budget_ns: int) -> int:  # noqa: F821
+        """The quantum loop: ``step`` until ``budget_ns`` is spent or the
+        thread stops being runnable, with one ``_execute`` call per
+        bytecode; returns the simulated ns consumed."""
+        consumed = 0
+        frames = thread.frames
+        execute = self._execute
+        while consumed < budget_ns and thread.state is RUNNABLE:
+            frame = frames[-1]
+            try:
+                instr = frame.method.code[frame.pc]
+            except IndexError:
+                raise JVMError(
+                    f"pc fell off method end at {frame.where()}"
+                ) from None
+            try:
+                consumed += execute(thread, frame, instr)
+            except JVMError as exc:
+                thread.fail(exc, frame.where())
+                raise
+            if thread.pending_cost:
+                consumed += thread.pending_cost
+                thread.pending_cost = 0
+            thread.instructions += 1
+        return consumed
+
     def step(self, thread: "JThread") -> int:  # noqa: F821
         """Execute one instruction; returns its simulated cost in ns."""
         frame = thread.frames[-1]
@@ -142,11 +178,6 @@ class Interpreter:
         return cost
 
     # ------------------------------------------------------------------
-    def _base_cost(self, instr: Instr) -> int:
-        table = self._cost_checked if instr.checked else self._cost_plain
-        return table[instr.op]
-
-    # ------------------------------------------------------------------
     def _execute(self, thread, frame: Frame, instr: Instr) -> int:
         op = instr.op
         stack = frame.stack
@@ -158,20 +189,23 @@ class Interpreter:
             cost = self._cost_plain[op]
 
         # --- constants & locals -------------------------------------
-        if op is Op.LOAD:
+        if op is _LOAD:
             stack.append(frame.locals[instr.a])
-        elif op is Op.CONST:
+        elif op is _CONST:
             stack.append(instr.a)
-        elif op is Op.DSM_READCHECK:
-            hooks = self._hooks()
-            ref = frame.peek(instr.a)
+        elif op is _DSM_READCHECK:
+            hooks = self.jvm.hooks
+            if hooks is None:
+                raise JVMError(_NO_HOOKS)
+            depth = instr.a
+            ref = stack[-1 - depth]
             if ref is None:
                 raise NullPointerError("read check on null")
             # For array accesses the element index sits just above the
             # ref; region-granular coherence (§4.3 extension) needs it.
             index = (
-                frame.peek(instr.a - 1)
-                if instr.a >= 1 and isinstance(ref, ArrayObj) else None
+                stack[-depth]
+                if depth >= 1 and isinstance(ref, ArrayObj) else None
             )
             ok, extra = hooks.read_check(thread, ref, index)
             if not ok:
@@ -181,7 +215,7 @@ class Interpreter:
                 return cost + extra
             frame.pc += 1
             return cost + extra
-        elif op is Op.GETFIELD:
+        elif op is _GETFIELD:
             ref = stack.pop()
             if ref is None:
                 raise NullPointerError(f"getfield {instr.a}.{instr.b}")
@@ -192,37 +226,40 @@ class Interpreter:
             if self.race_hook is not None and checked:
                 self.race_hook(thread, ref, instr.b, False, frame, instr)
             stack.append(ref.fields[idx])
-        elif op is Op.IF_CMP:
+        elif op is _IF_CMP:
             b = stack.pop(); a = stack.pop()
             if self._test_cmp(instr.a, a, b):
                 frame.pc = instr.b
                 return cost
 
         # --- objects ----------------------------------------------------
-        elif op is Op.ADD:
+        elif op is _ADD:
             b = stack.pop(); stack[-1] = stack[-1] + b
-        elif op is Op.ARRLOAD:
+        elif op is _ARRLOAD:
             idx = stack.pop(); ref = stack.pop()
             if ref is None:
                 raise NullPointerError("arrload on null")
             if self.race_hook is not None and checked:
                 self.race_hook(thread, ref, idx, False, frame, instr)
             stack.append(ref.get(idx))
-        elif op is Op.STORE:
+        elif op is _STORE:
             frame.locals[instr.a] = stack.pop()
-        elif op is Op.IINC:
+        elif op is _IINC:
             frame.locals[instr.a] += instr.b
 
         # --- arithmetic ----------------------------------------------
-        elif op is Op.DSM_WRITECHECK:
-            hooks = self._hooks()
-            ref = frame.peek(instr.a)
+        elif op is _DSM_WRITECHECK:
+            hooks = self.jvm.hooks
+            if hooks is None:
+                raise JVMError(_NO_HOOKS)
+            depth = instr.a
+            ref = stack[-1 - depth]
             if ref is None:
                 raise NullPointerError("write check on null")
-            value = frame.peek(instr.b) if instr.b is not None else None
+            value = stack[-1 - instr.b] if instr.b is not None else None
             index = (
-                frame.peek(instr.a - 1)
-                if instr.a >= 2 and isinstance(ref, ArrayObj) else None
+                stack[-depth]
+                if depth >= 2 and isinstance(ref, ArrayObj) else None
             )
             ok, extra = hooks.write_check(thread, ref, value, index)
             if not ok:
@@ -230,7 +267,7 @@ class Interpreter:
                 return cost + extra
             frame.pc += 1
             return cost + extra
-        elif op is Op.PUTFIELD:
+        elif op is _PUTFIELD:
             value = stack.pop()
             ref = stack.pop()
             if ref is None:
@@ -242,31 +279,31 @@ class Interpreter:
             if self.race_hook is not None and checked:
                 self.race_hook(thread, ref, instr.b, True, frame, instr)
             ref.fields[idx] = value
-        elif op is Op.ARRSTORE:
+        elif op is _ARRSTORE:
             value = stack.pop(); idx = stack.pop(); ref = stack.pop()
             if ref is None:
                 raise NullPointerError("arrstore on null")
             if self.race_hook is not None and checked:
                 self.race_hook(thread, ref, idx, True, frame, instr)
             ref.set(idx, value)
-        elif op is Op.MUL:
+        elif op is _MUL:
             b = stack.pop(); stack[-1] = stack[-1] * b
-        elif op is Op.SUB:
+        elif op is _SUB:
             b = stack.pop(); stack[-1] = stack[-1] - b
-        elif op is Op.GOTO:
+        elif op is _GOTO:
             frame.pc = instr.a
             return cost
-        elif op is Op.IF:
+        elif op is _IF:
             v = stack.pop()
             if self._test_zero(instr.a, v):
                 frame.pc = instr.b
                 return cost
-        elif op is Op.INVOKEVIRTUAL:
+        elif op is _INVOKEVIRTUAL:
             static_m = instr.cache
             if static_m is None:
                 static_m = self.jvm.resolve_method(instr.a, instr.b)
                 instr.cache = static_m
-            receiver = frame.peek(len(static_m.params))
+            receiver = stack[-1 - len(static_m.params)]
             if receiver is None:
                 raise NullPointerError(f"invoke {instr.a}.{instr.b} on null")
             if isinstance(receiver, str):
@@ -278,27 +315,29 @@ class Interpreter:
                 if target is None:
                     target = self.jvm.resolve_method(instr.a, instr.b)
             return cost + self._invoke(thread, frame, static_m, target)
-        elif op is Op.INVOKESTATIC:
+        elif op is _INVOKESTATIC or op is _INVOKESPECIAL:
             method = instr.cache
             if method is None:
                 method = self.jvm.resolve_method(instr.a, instr.b)
                 instr.cache = method
             return cost + self._invoke(thread, frame, method, method)
-        elif op is Op.DUP:
+        elif op is _DUP:
             stack.append(stack[-1])
-        elif op is Op.CMP:
+        elif op is _CMP:
             b = stack.pop(); a = stack.pop()
             stack.append(0 if a == b else (-1 if a < b else 1))
-        elif op is Op.I2D:
+        elif op is _I2D:
             stack[-1] = float(stack[-1])
-        elif op is Op.DIV:
+        elif op is _DIV:
             b = stack.pop(); a = stack.pop()
             if isinstance(a, int) and isinstance(b, int):
                 stack.append(java_idiv(a, b))
             else:
                 stack.append(java_ddiv(float(a), float(b)))
-        elif op is Op.DSM_ACQUIRE:
-            hooks = self._hooks()
+        elif op is _DSM_ACQUIRE:
+            hooks = self.jvm.hooks
+            if hooks is None:
+                raise JVMError(_NO_HOOKS)
             ref = stack.pop()
             if ref is None:
                 raise NullPointerError("acquire on null")
@@ -308,91 +347,87 @@ class Interpreter:
                 return cost + extra  # complete style: waker advances pc
             frame.pc += 1
             return cost + extra
-        elif op is Op.DSM_RELEASE:
-            hooks = self._hooks()
+        elif op is _DSM_RELEASE:
+            hooks = self.jvm.hooks
+            if hooks is None:
+                raise JVMError(_NO_HOOKS)
             ref = stack.pop()
             if ref is None:
                 raise NullPointerError("release on null")
             extra = hooks.release(thread, ref)
             frame.pc += 1
             return cost + extra
-        elif op is Op.ARRAYLENGTH:
+        elif op is _ARRAYLENGTH:
             ref = stack.pop()
             if ref is None:
                 raise NullPointerError("arraylength on null")
             stack.append(len(ref))
 
         # --- synchronization (local monitors) ----------------------------
-        elif op is Op.INVOKESPECIAL:
-            method = instr.cache
-            if method is None:
-                method = self.jvm.resolve_method(instr.a, instr.b)
-                instr.cache = method
-            return cost + self._invoke(thread, frame, method, method)
-        elif op is Op.RETURN:
+        elif op is _RETURN:
             self._return(thread, None, has_value=False)
             return cost
-        elif op is Op.RETVAL:
+        elif op is _RETVAL:
             self._return(thread, stack.pop(), has_value=True)
             return cost
 
         # --- arrays -------------------------------------------------------
-        elif op is Op.NEW:
+        elif op is _NEW:
             stack.append(self.jvm.new_instance(instr.a))
-        elif op is Op.NEWARRAY:
+        elif op is _NEWARRAY:
             length = stack.pop()
             stack.append(self.jvm.new_array(instr.a, length))
-        elif op is Op.REM:
+        elif op is _REM:
             b = stack.pop(); a = stack.pop()
             if isinstance(a, int) and isinstance(b, int):
                 stack.append(java_irem(a, b))
             else:
                 stack.append(math.fmod(a, b) if b != 0 else math.nan)
-        elif op is Op.NEG:
+        elif op is _NEG:
             stack[-1] = -stack[-1]
-        elif op is Op.SHL:
+        elif op is _SHL:
             b = stack.pop(); stack[-1] = stack[-1] << b
-        elif op is Op.SHR:
+        elif op is _SHR:
             b = stack.pop(); stack[-1] = stack[-1] >> b
-        elif op is Op.USHR:
+        elif op is _USHR:
             b = stack.pop(); a = stack.pop()
             stack.append((a & 0xFFFFFFFFFFFFFFFF) >> b)
-        elif op is Op.AND:
+        elif op is _AND:
             b = stack.pop(); stack[-1] = stack[-1] & b
-        elif op is Op.OR:
+        elif op is _OR:
             b = stack.pop(); stack[-1] = stack[-1] | b
-        elif op is Op.XOR:
+        elif op is _XOR:
             b = stack.pop(); stack[-1] = stack[-1] ^ b
-        elif op is Op.D2I:
+        elif op is _D2I:
             v = stack[-1]
             if math.isnan(v):
                 stack[-1] = 0
             else:
                 stack[-1] = int(v)  # trunc toward zero, Java semantics
-        elif op is Op.CONCAT:
+        elif op is _CONCAT:
             b = stack.pop(); a = stack.pop()
             stack.append(jstr(a) + jstr(b))
 
         # --- stack ----------------------------------------------------
-        elif op is Op.POP:
+        elif op is _POP:
             stack.pop()
-        elif op is Op.DUP_X1:
+        elif op is _DUP_X1:
             b = stack.pop(); a = stack.pop()
             stack.extend((b, a, b))
-        elif op is Op.SWAP:
+        elif op is _SWAP:
             stack[-1], stack[-2] = stack[-2], stack[-1]
 
         # --- control flow ----------------------------------------------
-        elif op is Op.GETSTATIC:
+        elif op is _GETSTATIC:
             rtc = self.jvm.classes[instr.a]
             stack.append(rtc.statics[instr.b])
-        elif op is Op.PUTSTATIC:
+        elif op is _PUTSTATIC:
             rtc = self.jvm.classes[instr.a]
             rtc.statics[instr.b] = stack.pop()
-        elif op is Op.INSTANCEOF:
+        elif op is _INSTANCEOF:
             ref = stack.pop()
             stack.append(1 if self._is_instance(ref, instr.a) else 0)
-        elif op is Op.CHECKCAST:
+        elif op is _CHECKCAST:
             ref = stack[-1]
             if ref is not None and not self._is_instance(ref, instr.a):
                 raise ClassCastError(
@@ -400,22 +435,24 @@ class Interpreter:
                 )
 
         # --- invocation -------------------------------------------------
-        elif op is Op.MONITORENTER:
+        elif op is _MONITORENTER:
             ref = stack.pop()
             if ref is None:
                 raise NullPointerError("monitorenter on null")
             if not self._monitor_enter(thread, ref):
                 thread.block(reexec=False, reason="monitor enter")
                 return cost  # blocked; waker advances pc (complete style)
-        elif op is Op.MONITOREXIT:
+        elif op is _MONITOREXIT:
             ref = stack.pop()
             if ref is None:
                 raise NullPointerError("monitorexit on null")
             self._monitor_exit(thread, ref)
 
         # --- DSM pseudo-instructions --------------------------------------
-        elif op is Op.DSM_STATICREF:
-            hooks = self._hooks()
+        elif op is _DSM_STATICREF:
+            hooks = self.jvm.hooks
+            if hooks is None:
+                raise JVMError(_NO_HOOKS)
             ref, extra = hooks.static_ref(thread, instr.a)
             if ref is None:
                 thread.block(reexec=True, reason="static holder miss")
@@ -431,12 +468,6 @@ class Interpreter:
         return cost
 
     # ------------------------------------------------------------------
-    def _hooks(self):
-        hooks = self.jvm.hooks
-        if hooks is None:
-            raise JVMError("DSM instruction executed without DSM hooks installed")
-        return hooks
-
     @staticmethod
     def _test_zero(cond: str, v: Any) -> bool:
         if cond == "eq":

@@ -18,7 +18,7 @@ import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.cost_model import CostModel
-from ..sim.node import Node, StreamState
+from ..sim.node import BLOCKED, FINISHED, RUNNABLE, Node, StreamState
 from .classfile import CONSTRUCTOR, ClassFile, FieldInfo, MethodInfo, is_array_type
 from .errors import ClassFormatError, JVMError, LinkError
 from .frame import Frame
@@ -94,7 +94,7 @@ class JThread:
         self.tid = next(JThread._ids)
         self.name = name or f"thread-{self.tid}"
         self.frames: List[Frame] = [entry]
-        self.state = StreamState.RUNNABLE
+        self.state = RUNNABLE
         self.thread_obj = thread_obj
         self.priority = priority
         self.block_reason = ""
@@ -116,36 +116,32 @@ class JThread:
         jit = self.jvm.jit
         if jit is not None:
             return jit.run_quantum(self, budget_ns)
-        consumed = 0
-        interp = self.jvm.interpreter
-        while consumed < budget_ns and self.state is StreamState.RUNNABLE:
-            consumed += interp.step(self)
-        return consumed, self.state
+        return self.jvm.interpreter.run(self, budget_ns), self.state
 
     # ------------------------------------------------------------------
     # Blocking protocol (see interpreter docstring)
     # ------------------------------------------------------------------
     def block(self, reexec: bool, reason: str = "") -> None:
-        if self.state is not StreamState.RUNNABLE:
+        if self.state is not RUNNABLE:
             raise JVMError(f"block() on non-runnable thread {self.name}")
-        self.state = StreamState.BLOCKED
+        self.state = BLOCKED
         self.block_reason = reason
         self._reexec = reexec
 
     def wake(self) -> None:
         """Resume a re-execute-style blocked thread."""
-        if self.state is not StreamState.BLOCKED:
+        if self.state is not BLOCKED:
             raise JVMError(f"wake() on non-blocked thread {self.name}")
         if not self._reexec:
             raise JVMError("wake() on a complete-style block; use complete()")
-        self.state = StreamState.RUNNABLE
+        self.state = RUNNABLE
         self.block_reason = ""
         self.jvm.node.wake(self)
 
     def complete(self, value: Any = NO_VALUE) -> None:
         """Finish a complete-style blocked instruction on the thread's
         behalf: push the result (if any), advance the pc, reschedule."""
-        if self.state is not StreamState.BLOCKED:
+        if self.state is not BLOCKED:
             raise JVMError(f"complete() on non-blocked thread {self.name}")
         if self._reexec:
             raise JVMError("complete() on a re-exec-style block; use wake()")
@@ -153,7 +149,7 @@ class JThread:
         if value is not NO_VALUE:
             frame.stack.append(value)
         frame.pc += 1
-        self.state = StreamState.RUNNABLE
+        self.state = RUNNABLE
         self.block_reason = ""
         self.jvm.node.wake(self)
 
@@ -164,14 +160,14 @@ class JThread:
 
     def finish(self, result: Any) -> None:
         """Normal thread completion; notifies joiners."""
-        self.state = StreamState.FINISHED
+        self.state = FINISHED
         self.result = result
         self.finished_at = self.jvm.node.engine.now
         self.jvm.thread_finished(self)
 
     def fail(self, exc: BaseException, where: str) -> None:
         """Thread death by runtime error; recorded for check_no_failures."""
-        self.state = StreamState.FINISHED
+        self.state = FINISHED
         self.error = exc
         exc.args = (f"{exc.args[0] if exc.args else ''} at {where} "
                     f"[{self.name}]",)

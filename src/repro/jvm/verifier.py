@@ -20,7 +20,9 @@ from .bytecode import BRANCHES, CONDITIONS, DSM_OPS, TERMINATORS, Instr, Op
 from .classfile import ClassFile, MethodInfo
 from .errors import ClassFormatError
 
-_SIMPLE_DELTA = {
+# Stack effect of every non-invoke opcode (invokes depend on the resolved
+# method's arity).  The JIT's depth analysis reuses this table.
+STACK_DELTA = {
     Op.CONST: 1, Op.LOAD: 1, Op.STORE: -1, Op.IINC: 0,
     Op.ADD: -1, Op.SUB: -1, Op.MUL: -1, Op.DIV: -1, Op.REM: -1,
     Op.NEG: 0, Op.SHL: -1, Op.SHR: -1, Op.USHR: -1,
@@ -52,7 +54,7 @@ _MIN_DEPTH = {
     Op.DSM_ACQUIRE: 1, Op.DSM_RELEASE: 1,
 }
 
-_INVOKES = (Op.INVOKEVIRTUAL, Op.INVOKESTATIC, Op.INVOKESPECIAL)
+INVOKES = (Op.INVOKEVIRTUAL, Op.INVOKESTATIC, Op.INVOKESPECIAL)
 
 
 class Verifier:
@@ -142,7 +144,7 @@ class Verifier:
                         f"stack depth {depth}"
                     )
 
-            if op in _INVOKES:
+            if op in INVOKES:
                 pops, pushes = self._invoke_delta(instr)
                 if depth < pops:
                     raise ClassFormatError(
@@ -157,7 +159,7 @@ class Verifier:
                         f"{where} pc={pc}: stack underflow at {op.name} "
                         f"(depth {depth}, needs {need})"
                     )
-                new_depth = depth + _SIMPLE_DELTA[op]
+                new_depth = depth + STACK_DELTA[op]
 
             # Successors
             succs = []

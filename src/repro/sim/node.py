@@ -29,6 +29,13 @@ class StreamState(enum.Enum):
     FINISHED = "finished"
 
 
+# Bound once: on Python 3.10/3.11 ``EnumType.__getattr__`` sends every
+# ``StreamState.X`` read through a slow attribute hook.  The quantum
+# paths (CPU loop, interpreter, JIT driver) test these; keep them.
+RUNNABLE, BLOCKED, FINISHED = (
+    StreamState.RUNNABLE, StreamState.BLOCKED, StreamState.FINISHED)
+
+
 class ExecStream(Protocol):
     """Anything the node can schedule on a CPU."""
 
@@ -133,9 +140,9 @@ class Node:
         # itself" at the same instant.  Blocked/finished transitions are
         # registered synchronously so protocol wake-ups are never lost.
         delay = max(consumed, 1)
-        if state is StreamState.RUNNABLE:
+        if state is RUNNABLE:
             self.engine.schedule(delay, lambda: self._requeue(stream))
-        elif state is StreamState.BLOCKED:
+        elif state is BLOCKED:
             self._blocked.add(id(stream))
         else:  # FINISHED
             self._streams_alive -= 1

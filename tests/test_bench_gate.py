@@ -27,7 +27,7 @@ def _load(name: str):
 
 @pytest.mark.parametrize("name", ["BENCH_3.json", "BENCH_6.json",
                                   "BENCH_7.json", "BENCH_8.json",
-                                  "BENCH_9.json"])
+                                  "BENCH_9.json", "BENCH_12.json"])
 def test_every_committed_snapshot_passes_against_itself(name):
     doc = _load(name)
     assert compare(doc, copy.deepcopy(doc)) == []

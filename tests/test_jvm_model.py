@@ -216,10 +216,6 @@ def test_frame_locals_padding():
                    flags=frozenset({"static"}))
     f = Frame(m, [42])
     assert f.locals == [42, None, None, None, None]
-    f.push(1)
-    f.push(2)
-    assert f.peek() == 2 and f.peek(1) == 1
-    assert f.pop() == 2
 
 
 def test_jstr_object_form():
