@@ -310,9 +310,7 @@ def run_jit_bench(nodes: int = 3,
         for mode, rewritten, jit in (("interp", plain, False),
                                      ("jit", plain, True),
                                      ("jit-elim2", elim2, True)):
-            config = RuntimeConfig(num_nodes=nodes, jit_enable=jit,
-                                   jit_check_elim=2 if "elim" in mode
-                                   else 0)
+            config = RuntimeConfig(num_nodes=nodes, jit_enable=jit)
             runtime = JavaSplitRuntime(rewritten, config)
             t0 = time.perf_counter()
             report = runtime.run()

@@ -380,7 +380,6 @@ def run_check(
             transport_backend=backend,
             jit_enable=jit,
             jit_threshold=jit_threshold,
-            jit_check_elim=check_elim,
             **locality_knobs,
             **policy_knobs,
             dsm=DsmConfig(

@@ -159,7 +159,6 @@ def _config(args) -> RuntimeConfig:
         ),
         jit_enable=getattr(args, "jit", False),
         jit_threshold=getattr(args, "jit_threshold", 10),
-        jit_check_elim=_elim_level(args),
         **parse_locality(args.locality),
         **parse_policy(getattr(args, "policy", "")),
         **_backend_kwargs(args),

@@ -32,6 +32,7 @@ Exit reasons (second element of the ``(used_ns, reason)`` return):
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any, Dict, List, Optional, Set
 
@@ -89,6 +90,15 @@ _ARITH_OPS = {
     Op.AND: "&", Op.OR: "|", Op.XOR: "^",
     Op.SHL: "<<", Op.SHR: ">>",
 }
+
+
+@functools.lru_cache(maxsize=256)
+def _code_object(src: str, filename: str):
+    """One code object per distinct generated source, per process: every
+    node emits byte-identical source for a method unless its brand costs
+    or config differ.  Code objects hold only literals; each node
+    ``exec``s the shared one into its own environment."""
+    return compile(src, filename, "exec")
 
 
 def _is_pure_native(m: MethodInfo) -> bool:
@@ -308,11 +318,12 @@ class _Emitter:
         self.w(2, "raise")
 
         src = "\n".join(self.lines) + "\n"
-        code_obj = compile(src, f"<jit {method.klass}.{method.name}>",
-                           "exec")
+        hits = _code_object.cache_info().hits
+        code_obj = _code_object(src, f"<jit {method.klass}.{method.name}>")
         ns: Dict[str, Any] = {}
         exec(code_obj, self.env, ns)  # noqa: S102 - this *is* the JIT
         fn = ns[fname]
+        fn.code_cache_hit = _code_object.cache_info().hits > hits
         fn.entries = frozenset(self.entry_set)
         fn.method = method
         fn.source = src
@@ -820,8 +831,7 @@ class _Emitter:
             self._emit_native(ind + 1, pc, d, n, static_m, base,
                               pure=False)
             w(ind, "else:")
-            self._emit_direct_call(ind + 1, pc, d, n, static_m, base,
-                                   cache_key="id(_t)", target_expr="_t")
+            self._emit_direct_call(ind + 1, pc, d, n, static_m, base)
             return d - n + (0 if static_m.ret == "void" else 1)
         # INVOKESTATIC / INVOKESPECIAL: target known at compile time.
         tname = self.const(static_m, "M")
@@ -831,10 +841,7 @@ class _Emitter:
             self._emit_native(ind, pc, d, n, static_m, base,
                               pure=_is_pure_native(static_m))
         else:
-            self.agent.methods[id(static_m)] = static_m
-            self._emit_direct_call(ind, pc, d, n, static_m, base,
-                                   cache_key=str(id(static_m)),
-                                   target_expr=tname)
+            self._emit_direct_call(ind, pc, d, n, static_m, base)
         return d - n + (0 if static_m.ret == "void" else 1)
 
     def _args(self, d: int, n: int) -> str:
@@ -877,10 +884,9 @@ class _Emitter:
                        "% (_t.klass, _t.name))")
             w(ind, f"s{d - n} = _res")
 
-    def _emit_direct_call(self, ind, pc, d, n, static_m, base,
-                          cache_key, target_expr):
+    def _emit_direct_call(self, ind, pc, d, n, static_m, base):
         w = self.w
-        w(ind, f"_f = _CACHE.get({cache_key})")
+        w(ind, "_f = _CACHE.get(id(_t))")
         w(ind, f"if _f is None or _f is False or depth > "
                f"{_MAX_CALL_DEPTH}:")
         # R_CALL: nothing charged, nothing popped — the manager's one
@@ -890,7 +896,7 @@ class _Emitter:
         self._sync(ind, pc, d - n)
         w(ind, f"used += {base}")
         w(ind, "icount += 1")
-        w(ind, f"_nf = _Frame({target_expr}, {self._args(d, n)})")
+        w(ind, f"_nf = _Frame(_t, {self._args(d, n)})")
         w(ind, "thread.frames.append(_nf)")
         w(ind, "_cu, _cr = _f(thread, _nf, budget - used, depth + 1)")
         w(ind, "used += _cu")

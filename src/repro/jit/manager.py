@@ -2,10 +2,11 @@
 
 One :class:`JitManager` attaches to the runtime (same pattern as the
 ft/locality/policy/race/obs managers); it installs one :class:`JitAgent`
-per worker.  The agent owns the per-node code cache — ``MethodInfo``
+per worker.  The agent owns the per-node function cache — ``MethodInfo``
 objects are *shared* across worker JVMs (one ``RewriteResult``), so the
-cache is keyed by ``id(method)`` per agent, and each agent compiles its
-own specialization bound to its own JVM's hooks and heap.
+cache is keyed by ``id(method)`` per agent.  Each agent binds its own
+function to its own JVM's hooks and heap; the code object behind it is
+compiled once per process (:func:`repro.jit.codegen._code_object`).
 
 Tier 0 is the unmodified interpreter.  Tier 1 is the codegen'd Python
 function (:mod:`repro.jit.codegen`).  Promotion is by invocation count
@@ -116,7 +117,7 @@ class JitAgent:
             compile_ns = time.monotonic_ns() - t0
             self.wall.observe(
                 "jit.compile_ns", self.worker.node_id, compile_ns)
-            self.manager.note_tier(self.worker.node_id, method, compile_ns)
+            self.manager.note_tier(self.worker.node_id, fn, compile_ns)
         self.manager._on_compiled(self.worker.node_id, method)
 
     # -- execution -----------------------------------------------------
@@ -251,16 +252,17 @@ class JitManager:
         # Tier-transition log: when (both clocks) each method went tier 1.
         self.tier_events: List[Dict[str, Any]] = []
 
-    def note_tier(self, node_id: int, method: "MethodInfo",
-                  compile_ns: int) -> None:
-        """Record one tier-0 → tier-1 transition with both timestamps."""
+    def note_tier(self, node_id: int, fn, compile_ns: int) -> None:
+        """Record one tier-0 → tier-1 transition with both timestamps and
+        whether the process-wide code cache supplied the code object."""
         self.tier_events.append({
             "node": node_id,
-            "method": f"{method.klass}.{method.name}",
+            "method": f"{fn.method.klass}.{fn.method.name}",
             "tier": 1,
             "sim_ns": self.runtime.engine.now,
             "wall_ns": time.monotonic_ns(),
             "compile_ns": compile_ns,
+            "code_cache_hit": fn.code_cache_hit,
         })
 
     def attach(self) -> None:

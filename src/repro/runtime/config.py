@@ -162,13 +162,6 @@ class RuntimeConfig:
     # Invocations (plus one bump per scheduling quantum spent in a
     # method) before a method is promoted from tier 0 to tier 1.
     jit_threshold: int = 10
-    # Access-check elimination level consumed by compiled code:
-    # 0 = none, 1 = the straight-line §6.2 pass (same as
-    # ``rewrite_application(optimize_checks=True)``), 2 = adds the
-    # region-based dataflow + null-safe loop hoisting pass.  Levels 1/2
-    # legally change simulated time (fewer checked accesses), so the
-    # byte-identical differential harness runs with level 0.
-    jit_check_elim: int = 0
     # Record a per-node trace of deopt events (method, pc, reason) in
     # the jit report; debugging aid, never affects execution.
     jit_deopt_trace: bool = False
@@ -338,8 +331,6 @@ class RuntimeConfig:
         if self.jit_enable:
             if self.jit_threshold < 1:
                 raise ValueError("jit_threshold must be >= 1")
-        if self.jit_check_elim not in (0, 1, 2):
-            raise ValueError("jit_check_elim must be 0, 1 or 2")
         if self.obs_enabled:
             if self.obs_metrics_bucket_ns < 1:
                 raise ValueError("obs_metrics_bucket_ns must be >= 1")
